@@ -60,7 +60,11 @@
 #      pinned chaos schedule (--chaos-seed injecting refused connects,
 #      stalls, garbled headers and truncations) — plus a format check
 #      of the pinned per-worker stats line; a lost shard, a drifted
-#      byte, or a failure that is not a counted retry/ejection fails
+#      byte, or a failure that is not a counted retry/ejection fails;
+#      then a wide-line case: a netlist of more than 256 KiB shipped
+#      in-band through one worker must come back byte-identical to the
+#      serial run, with no local fallback or retry, well within a
+#      timeout (a request parser that is not linear in the line fails)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -336,5 +340,36 @@ if [ -z "$CHAOS_RETRIES" ] || [ "$CHAOS_RETRIES" -lt 1 ]; then
   exit 1
 fi
 kill "$W1" "$W2" "$W3" 2>/dev/null || true
+
+# Wide line: a ~15 000-gate chain (> 256 KiB of netlist text) rides
+# in-band on each of 16 `mc_shards` request lines. One loopback worker
+# must answer every batch — no retries, no local fallback — and the
+# output must match the serial run byte for byte. The whole run takes
+# about a second; a parser that rescans the line per character needs
+# seconds per line and runs into the timeout.
+{
+  echo "INPUT(a)"; echo "INPUT(b)"; echo "OUTPUT(o)"; echo "n0 = XOR(a, b)"
+  for i in $(seq 1 14999); do echo "n$i = XOR(n$((i-1)), a)"; done
+  echo "o = AND(n14999, b)"
+} > "$detdir/wide.bench"
+WIDE_BYTES="$(wc -c < "$detdir/wide.bench")"
+if [ "$WIDE_BYTES" -lt 262144 ]; then
+  echo "wide-line netlist is only $WIDE_BYTES bytes" >&2
+  exit 1
+fi
+WIDE_ARGS=(--eps 0.02 --patterns 65536 --chunk 4096 --batch 1 --jobs 1)
+target/release/nanobound cluster "$detdir/wide.bench" "${WIDE_ARGS[@]}" \
+    > "$detdir/wide-serial.out" 2>/dev/null
+read -r W1 A1 < <(start_worker "$detdir/wide-w1.log")
+timeout 30 target/release/nanobound cluster "$detdir/wide.bench" "${WIDE_ARGS[@]}" \
+    --worker "$A1" > "$detdir/wide-remote.out" 2>"$detdir/wide-remote.err"
+diff "$detdir/wide-serial.out" "$detdir/wide-remote.out"
+if [ "$(cluster_counter "$detdir/wide-remote.err" local)" != 0 ] \
+    || [ "$(cluster_counter "$detdir/wide-remote.err" retries)" != 0 ]; then
+  echo "wide-line requests did not all succeed on the worker:" >&2
+  cat "$detdir/wide-remote.err" >&2
+  exit 1
+fi
+kill "$W1" 2>/dev/null || true
 
 echo "CI green."

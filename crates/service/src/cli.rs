@@ -21,7 +21,7 @@ use crate::args::{
     switch, FlagSpec, Flags, COMMON_FLAGS,
 };
 use crate::cluster::{run_cluster, stats_line, ClusterJob, ClusterOptions};
-use crate::engine::{csv_of, Engine};
+use crate::engine::Engine;
 use crate::requests::{BoundRequest, LintRequest, ProfileRequest};
 use crate::serve::{self, ServeOptions};
 
@@ -270,15 +270,12 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     }
     let sink = artifact_sink(&flags)?;
     let engine = Engine::new(pool_from_flags(&flags)?, cache_from_flags(&flags)?);
-    let outputs = engine.validation()?;
     let Some(dir) = sink else {
-        for figure in &outputs {
-            print!("{}", csv_of(figure));
-        }
+        print!("{}", engine.validation_csv()?);
         return Ok(());
     };
     fs::create_dir_all(&dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
-    for figure in &outputs {
+    for figure in engine.validation()?.iter() {
         for path in write_figure(&dir, figure)? {
             println!("wrote {path}");
         }

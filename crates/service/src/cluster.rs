@@ -762,10 +762,13 @@ fn roundtrip(
         .ok_or_else(|| format!("resolve {addr}: no addresses"))?;
     let stream = TcpStream::connect_timeout(&sockaddr, options.connect_timeout)
         .map_err(|e| format!("connect: {e}"))?;
+    // The request goes out in one write; without TCP_NODELAY a line
+    // that spans several segments waits on the worker's delayed ACK.
     stream
         .set_read_timeout(Some(options.io_timeout))
         .and_then(|()| stream.set_write_timeout(Some(options.io_timeout)))
-        .map_err(|e| format!("socket deadline: {e}"))?;
+        .and_then(|()| stream.set_nodelay(true))
+        .map_err(|e| format!("socket options: {e}"))?;
     let mut writer = &stream;
     writer
         .write_all(line.as_bytes())

@@ -18,7 +18,9 @@
 //!   compilation entirely — one structure is compiled once per engine
 //!   lifetime no matter how many measurement configs or workloads
 //!   touch it;
-//! - rendered figures and the profiled benchmark suite, computed once.
+//! - rendered figures, the validation tables and their CSV payloads,
+//!   and the profiled benchmark suite, computed once and then shared
+//!   (each request gets the registry's `Arc`, not a copy).
 //!
 //! **The byte-identity contract.** Every workload method returns the
 //! *exact text* the equivalent one-shot CLI invocation (without cache
@@ -225,8 +227,12 @@ pub struct Engine {
     profiled: Registry<Fingerprint, ProfiledBenchmark>,
     programs: ProgramCache,
     figures: Registry<FigureId, FigureOutput>,
+    /// Each figure's CSV payload, rendered once from `figures`.
+    figure_csvs: Registry<FigureId, String>,
     suite: Registry<(), Vec<ProfiledBenchmark>>,
     validation: Registry<(), Vec<FigureOutput>>,
+    /// The validation CSV payload, rendered once from `validation`.
+    validation_csvs: Registry<(), String>,
 }
 
 impl Engine {
@@ -248,8 +254,10 @@ impl Engine {
             profiled: Registry::new(),
             programs: ProgramCache::new(),
             figures: Registry::new(),
+            figure_csvs: Registry::new(),
             suite: Registry::new(),
             validation: Registry::new(),
+            validation_csvs: Registry::new(),
         }
     }
 
@@ -426,17 +434,23 @@ impl Engine {
     ///
     /// Propagates generator failures (not expected for the paper's
     /// fixed parameters).
-    pub fn figure(&self, id: FigureId) -> Result<FigureOutput, String> {
+    pub fn figure(&self, id: FigureId) -> Result<Arc<FigureOutput>, String> {
         self.figure_with(id, &self.pool)
     }
 
-    /// [`Engine::figure`] under a caller-supplied worker budget.
+    /// [`Engine::figure`] under a caller-supplied worker budget. The
+    /// figure is generated once per engine; every later request shares
+    /// the memoized tables.
     ///
     /// # Errors
     ///
     /// Same as [`Engine::figure`].
-    pub fn figure_with(&self, id: FigureId, pool: &ThreadPool) -> Result<FigureOutput, String> {
-        let figure = self.figures.get_or_try_insert(id, || {
+    pub fn figure_with(
+        &self,
+        id: FigureId,
+        pool: &ThreadPool,
+    ) -> Result<Arc<FigureOutput>, String> {
+        self.figures.get_or_try_insert(id, || {
             let suite = if id.needs_profiles() {
                 Some(self.ensure_suite_with(pool)?)
             } else {
@@ -445,27 +459,29 @@ impl Engine {
             let profiles: &[ProfiledBenchmark] = suite.as_ref().map_or(&[], |s| s.as_slice());
             generate_figure_cached(id, pool, self.cache.as_ref(), profiles)
                 .map_err(|e| e.to_string())
-        })?;
-        Ok((*figure).clone())
+        })
     }
 
     /// One figure's tables as CSV — the `figures --only <id> --stdout`
-    /// text.
+    /// text, copied out of the memoized payload.
     ///
     /// # Errors
     ///
     /// Same as [`Engine::figure`].
     pub fn figure_csv(&self, id: FigureId) -> Result<String, String> {
-        Ok(csv_of(&self.figure(id)?))
+        Ok(String::clone(&*self.figure_csv_with(id, &self.pool)?))
     }
 
-    /// [`Engine::figure_csv`] under a caller-supplied worker budget.
+    /// [`Engine::figure_csv`] under a caller-supplied worker budget,
+    /// without the copy: the CSV is rendered once per engine and every
+    /// request shares it.
     ///
     /// # Errors
     ///
     /// Same as [`Engine::figure`].
-    pub fn figure_csv_with(&self, id: FigureId, pool: &ThreadPool) -> Result<String, String> {
-        Ok(csv_of(&self.figure_with(id, pool)?))
+    pub fn figure_csv_with(&self, id: FigureId, pool: &ThreadPool) -> Result<Arc<String>, String> {
+        self.figure_csvs
+            .get_or_try_insert(id, || Ok(csv_of(&*self.figure_with(id, pool)?)))
     }
 
     /// Runs (or replays) both validation experiments.
@@ -473,7 +489,7 @@ impl Engine {
     /// # Errors
     ///
     /// Propagates the underlying experiment failures.
-    pub fn validation(&self) -> Result<Vec<FigureOutput>, String> {
+    pub fn validation(&self) -> Result<Arc<Vec<FigureOutput>>, String> {
         self.validation_with(&self.pool)
     }
 
@@ -482,30 +498,33 @@ impl Engine {
     /// # Errors
     ///
     /// Same as [`Engine::validation`].
-    pub fn validation_with(&self, pool: &ThreadPool) -> Result<Vec<FigureOutput>, String> {
-        let outputs = self.validation.get_or_try_insert((), || {
+    pub fn validation_with(&self, pool: &ThreadPool) -> Result<Arc<Vec<FigureOutput>>, String> {
+        self.validation.get_or_try_insert((), || {
             validation::generate_cached_programs(pool, self.cache.as_ref(), Some(&self.programs))
                 .map_err(|e| e.to_string())
-        })?;
-        Ok((*outputs).clone())
+        })
     }
 
-    /// The validation tables as CSV — the `validate --stdout` text.
+    /// The validation tables as CSV — the `validate --stdout` text,
+    /// copied out of the memoized payload.
     ///
     /// # Errors
     ///
     /// Same as [`Engine::validation`].
     pub fn validation_csv(&self) -> Result<String, String> {
-        self.validation_csv_with(&self.pool)
+        Ok(String::clone(&*self.validation_csv_with(&self.pool)?))
     }
 
-    /// [`Engine::validation_csv`] under a caller-supplied worker budget.
+    /// [`Engine::validation_csv`] under a caller-supplied worker budget,
+    /// without the copy: rendered once per engine, then shared.
     ///
     /// # Errors
     ///
     /// Same as [`Engine::validation`].
-    pub fn validation_csv_with(&self, pool: &ThreadPool) -> Result<String, String> {
-        Ok(self.validation_with(pool)?.iter().map(csv_of).collect())
+    pub fn validation_csv_with(&self, pool: &ThreadPool) -> Result<Arc<String>, String> {
+        self.validation_csvs.get_or_try_insert((), || {
+            Ok(self.validation_with(pool)?.iter().map(csv_of).collect())
+        })
     }
 
     /// Executes a `lint` workload; returns the report text and the
@@ -903,6 +922,41 @@ mod tests {
         let second = engine.figure_csv(FigureId::Fig2).unwrap();
         assert_eq!(first, second);
         assert!(first.starts_with("sw(y),"), "csv: {first}");
+    }
+
+    #[test]
+    fn figure_csvs_render_once_and_match_a_fresh_generation() {
+        let engine = engine();
+        let pool = ThreadPool::serial();
+        for id in FigureId::ALL.into_iter().filter(|id| !id.needs_profiles()) {
+            let first = engine.figure_csv_with(id, &pool).unwrap();
+            let fresh = generate_figure_cached(id, &pool, None, &[]).unwrap();
+            assert_eq!(*first, csv_of(&fresh), "{id}: memo drifted");
+            // Later requests, under any pool, share the one rendering.
+            let again = engine.figure_csv_with(id, engine.pool()).unwrap();
+            assert!(Arc::ptr_eq(&first, &again), "{id}: CSV re-rendered");
+            assert_eq!(engine.figure_csv(id).unwrap(), *first);
+            let tables = engine.figure(id).unwrap();
+            assert!(Arc::ptr_eq(&tables, &engine.figure(id).unwrap()));
+        }
+    }
+
+    #[test]
+    fn validation_csv_renders_once_and_matches_a_fresh_generation() {
+        let engine = engine();
+        let pool = ThreadPool::serial();
+        let first = engine.validation_csv_with(&pool).unwrap();
+        let fresh: String = validation::generate_cached_programs(&pool, None, None)
+            .unwrap()
+            .iter()
+            .map(csv_of)
+            .collect();
+        assert_eq!(*first, fresh);
+        let again = engine.validation_csv_with(engine.pool()).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "CSV re-rendered");
+        assert_eq!(engine.validation_csv().unwrap(), fresh);
+        let tables = engine.validation().unwrap();
+        assert!(Arc::ptr_eq(&tables, &engine.validation().unwrap()));
     }
 
     #[test]

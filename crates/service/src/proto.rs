@@ -71,7 +71,12 @@ enum Value {
     Arr(Vec<String>),
 }
 
+/// A single forward pass over one line: every method advances `pos`
+/// and never rescans consumed input, so parsing is linear in the line
+/// length. Between tokens `pos` rests on an ASCII byte or the end, so
+/// slicing `text` there never splits a scalar.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -79,6 +84,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(line: &'a str) -> Self {
         Parser {
+            text: line,
             bytes: line.as_bytes(),
             pos: 0,
         }
@@ -131,13 +137,23 @@ impl<'a> Parser<'a> {
             .map_err(|_| format!("expected a string at byte {}", self.pos))?;
         let mut out = String::new();
         loop {
+            // Copy the unescaped run up to the next `"` or `\` in bulk.
+            // Both are ASCII, so the run ends on a char boundary and the
+            // slice of the (already valid) line needs no re-validation.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err("unterminated string".to_owned()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a `\`.
                     self.pos += 1;
                     let escape = self.peek().ok_or("unterminated escape")?;
                     self.pos += 1;
@@ -182,15 +198,6 @@ impl<'a> Parser<'a> {
                             return Err(format!("unsupported escape `\\{}`", char::from(other)))
                         }
                     }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let ch = text.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }
@@ -408,6 +415,11 @@ pub fn response_header(id: &str, ok: bool, bytes: usize) -> String {
 
 /// Writes one framed response (header line + raw payload) and flushes.
 ///
+/// The frame is assembled in one buffer and handed over in a single
+/// `write_all`: split writes on an unbuffered socket put the header and
+/// payload in separate segments, and Nagle's algorithm then holds the
+/// later ones until the client's delayed ACK.
+///
 /// # Errors
 ///
 /// Propagates the underlying I/O failure (a vanished client).
@@ -417,9 +429,12 @@ pub fn write_response<W: Write>(
     ok: bool,
     payload: &[u8],
 ) -> io::Result<()> {
-    writer.write_all(response_header(id, ok, payload.len()).as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.write_all(payload)?;
+    let header = response_header(id, ok, payload.len());
+    let mut frame = Vec::with_capacity(header.len() + 1 + payload.len());
+    frame.extend_from_slice(header.as_bytes());
+    frame.push(b'\n');
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 
@@ -579,6 +594,21 @@ mod tests {
         // No args: the key is omitted and defaults to empty.
         let parsed = parse_request(&format_request("p", "ping", &[])).unwrap();
         assert!(parsed.args.is_empty());
+    }
+
+    #[test]
+    fn a_mebibyte_argument_roundtrips() {
+        // Netlists travel in-band on `mc_shards` lines, so arguments
+        // reach megabytes. Mixed ASCII, escapes and 2/3/4-byte text;
+        // the parser must pass over it once, not once per character.
+        let unit = "y = NAND(a, b)\n\t\"q\\\" é ∑ 😀 ";
+        let arg = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(arg.len() >= 1 << 20);
+        let args = vec!["--netlist".to_owned(), arg];
+        let line = format_request("big", "mc_shards", &args);
+        let parsed = parse_request(&line).unwrap();
+        assert_eq!(parsed.id, "big");
+        assert_eq!(parsed.args, args);
     }
 
     #[test]

@@ -161,9 +161,15 @@ pub fn run(engine: &Engine, options: &ServeOptions) -> Result<(), String> {
                     }
                 };
                 // Socket options are per-socket, not per-fd: setting
-                // the timeout before `try_clone` covers both halves.
-                if let Err(e) = stream.set_read_timeout(options.idle_timeout) {
-                    eprintln!("nanobound serve: cannot set idle timeout: {e}");
+                // them before `try_clone` covers both halves. Frames are
+                // written whole, so Nagle's algorithm has nothing left to
+                // coalesce and would only hold a frame's tail back until
+                // the client's delayed ACK.
+                if let Err(e) = stream
+                    .set_read_timeout(options.idle_timeout)
+                    .and_then(|()| stream.set_nodelay(true))
+                {
+                    eprintln!("nanobound serve: cannot configure connection: {e}");
                     continue;
                 }
                 let reader = match stream.try_clone() {
@@ -558,10 +564,13 @@ fn dispatch(engine: &Engine, request: &Request) -> (bool, Vec<u8>) {
                     ),
                 })
                 .and_then(|id| engine.figure_csv_with(id, pool))
+                .map(|csv| String::clone(&csv))
         }),
         "validate" => with_request_pool(engine, &request.args, |args, pool| {
             no_args("validate", args)?;
-            engine.validation_csv_with(pool)
+            engine
+                .validation_csv_with(pool)
+                .map(|csv| String::clone(&csv))
         }),
         "gc" => parse_flags(&request.args, &GcRequest::FLAGS)
             .and_then(|(positional, flags)| GcRequest::from_parts(&positional, &flags))
